@@ -1,7 +1,9 @@
 // Micro benchmarks (google-benchmark): the op-level costs of the simulator
 // primitives — constraint checking, order generation, device operations,
 // mapping updates, parity XOR and the interference Monte Carlo. These
-// bound the simulation throughput (host-time per simulated I/O).
+// bound the simulation throughput (host-time per simulated I/O). The
+// snapshot pair measures the fork cost: one capture of a preconditioned
+// bench-geometry flexFTL, and one restore of it into a fresh instance.
 #include <benchmark/benchmark.h>
 
 #include "src/core/flex_ftl.hpp"
@@ -9,6 +11,9 @@
 #include "src/nand/device.hpp"
 #include "src/nand/program_order.hpp"
 #include "src/reliability/interference.hpp"
+#include "src/sim/runner.hpp"
+#include "src/sim/simulator.hpp"
+#include "src/sim/snapshot.hpp"
 #include "src/util/random.hpp"
 
 using namespace rps;
@@ -146,5 +151,50 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
+
+/// A bench-geometry flexFTL after Simulator::precondition(), built once
+/// and shared by both snapshot benchmarks.
+const ftl::FtlBase& preconditioned_flex() {
+  static const std::unique_ptr<ftl::FtlBase> ftl = [] {
+    const sim::ExperimentSpec spec = sim::ExperimentSpec::bench_default();
+    std::unique_ptr<ftl::FtlBase> f = sim::make_ftl(sim::FtlKind::kFlex, spec.ftl_config);
+    sim::Simulator(*f, spec.sim).precondition();
+    return f;
+  }();
+  return *ftl;
+}
+
+void BM_SnapshotCapture(benchmark::State& state) {
+  const ftl::FtlBase& ftl = preconditioned_flex();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const sim::Snapshot snapshot = sim::Snapshot::capture(ftl);
+    bytes = snapshot.bytes().size();
+    benchmark::DoNotOptimize(snapshot.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_SnapshotCapture)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotRestore(benchmark::State& state) {
+  const sim::ExperimentSpec spec = sim::ExperimentSpec::bench_default();
+  const sim::Snapshot snapshot = sim::Snapshot::capture(preconditioned_flex());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<ftl::FtlBase> target = sim::make_ftl(sim::FtlKind::kFlex, spec.ftl_config);
+    state.ResumeTiming();
+    const bool restored = snapshot.restore(*target);
+    benchmark::DoNotOptimize(restored);
+    benchmark::ClobberMemory();
+    if (!restored) state.SkipWithError("restore rejected the snapshot");
+    state.PauseTiming();
+    target.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * snapshot.bytes().size()));
+}
+BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond);
 
 }  // namespace

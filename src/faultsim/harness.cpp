@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/controller/controller.hpp"
 #include "src/host/multi_queue.hpp"
@@ -125,47 +127,28 @@ constexpr std::uint64_t kWarmStartMagic = 0x314d524157535052ull;  // "RPSWARM1"
 }  // namespace
 
 bool WarmStart::save_file(const std::string& path) const {
-  ser::Writer w;
-  w.u64(kWarmStartMagic);
-  w.u64(ftl.bytes().size());
-  w.bytes(ftl.bytes().data(), ftl.bytes().size());
-  w.u64(oracle.size());
-  w.bytes(oracle.data(), oracle.size());
-  w.u64(digest());
-  const std::vector<std::uint8_t> bytes = w.take();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  return std::fclose(f) == 0 && written == bytes.size();
+  // Framing around the two sections, written straight from where they live.
+  ser::Writer head;
+  head.u64(kWarmStartMagic);
+  head.u64(ftl.bytes().size());
+  ser::Writer oracle_head;
+  oracle_head.u64(oracle.size());
+  ser::Writer tail;
+  tail.u64(digest());
+  return ser::write_file(path, {head.view(), ftl.bytes(), oracle_head.view(), oracle,
+                                tail.view()});
 }
 
 std::optional<WarmStart> WarmStart::load_file(const std::string& path) {
-  // Reuse the snapshot file reader for the raw bytes; validation is ours.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return std::nullopt;
-  ser::Reader r(bytes);
-  if (r.u64() != kWarmStartMagic) return std::nullopt;
+  // Each section is read straight into its final buffer; the snapshot's
+  // own checksum is verified by from_bytes, the whole file's by digest().
+  ser::FileReader in(path);
+  if (in.u64() != kWarmStartMagic) return std::nullopt;
   WarmStart warm;
-  const std::uint64_t snap_size = r.u64();
-  if (snap_size > r.remaining()) return std::nullopt;
-  std::vector<std::uint8_t> snap(static_cast<std::size_t>(snap_size));
-  r.bytes(snap.data(), snap.size());
-  warm.ftl = sim::Snapshot::from_bytes(std::move(snap));
-  const std::uint64_t oracle_size = r.u64();
-  if (oracle_size > r.remaining()) return std::nullopt;
-  warm.oracle.resize(static_cast<std::size_t>(oracle_size));
-  r.bytes(warm.oracle.data(), warm.oracle.size());
-  const std::uint64_t digest = r.u64();
-  if (!r.ok() || !r.at_end() || digest != warm.digest() || !warm.ftl.valid()) {
+  warm.ftl = sim::Snapshot::from_bytes(in.take(in.u64()));
+  warm.oracle = in.take(in.u64());
+  const std::uint64_t digest = in.u64();
+  if (!in.ok() || in.remaining() != 0 || digest != warm.digest() || !warm.ftl.valid()) {
     return std::nullopt;
   }
   return warm;
@@ -413,9 +396,17 @@ std::string reproducer(const FaultSimConfig& config) {
      << " --crash-us=" << config.crash_time_us;
   // Non-default device topology / failure knobs only, so legacy
   // reproducer lines stay byte-identical.
-  if (config.ftl_config.geometry.planes_per_chip != 1) {
-    os << " --planes=" << config.ftl_config.geometry.planes_per_chip;
+  const nand::Geometry& g = config.ftl_config.geometry;
+  const nand::Geometry& base = FaultSimConfig::small_config().geometry;
+  if (g.channels != base.channels) os << " --channels=" << g.channels;
+  if (g.chips_per_channel != base.chips_per_channel) {
+    os << " --chips=" << g.chips_per_channel;
   }
+  if (g.blocks_per_chip != base.blocks_per_chip) os << " --blocks=" << g.blocks_per_chip;
+  if (g.wordlines_per_block != base.wordlines_per_block) {
+    os << " --wordlines=" << g.wordlines_per_block;
+  }
+  if (g.planes_per_chip != 1) os << " --planes=" << g.planes_per_chip;
   if (config.ftl_config.bad_blocks.spare_blocks_per_unit != 0) {
     os << " --spares=" << config.ftl_config.bad_blocks.spare_blocks_per_unit;
   }
@@ -431,6 +422,21 @@ std::string reproducer(const FaultSimConfig& config) {
   }
   return os.str();
 }
+
+namespace {
+
+/// A whole decimal token that fits u32; throws otherwise (no silent
+/// truncation of "4294967297" to 1, no trailing garbage).
+std::uint32_t parse_u32(const std::string& value) {
+  std::size_t used = 0;
+  const unsigned long long v = std::stoull(value, &used);
+  if (used != value.size() || v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(value);
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+}  // namespace
 
 std::optional<FaultSimConfig> parse_reproducer(const std::string& line) {
   FaultSimConfig config;
@@ -471,9 +477,16 @@ std::optional<FaultSimConfig> parse_reproducer(const std::string& line) {
         config.mean_gap_us = std::stoll(value);
       } else if (key == "crash-us") {
         config.crash_time_us = std::stoll(value);
+      } else if (key == "channels") {
+        config.ftl_config.geometry.channels = parse_u32(value);
+      } else if (key == "chips") {
+        config.ftl_config.geometry.chips_per_channel = parse_u32(value);
+      } else if (key == "blocks") {
+        config.ftl_config.geometry.blocks_per_chip = parse_u32(value);
+      } else if (key == "wordlines") {
+        config.ftl_config.geometry.wordlines_per_block = parse_u32(value);
       } else if (key == "planes") {
-        config.ftl_config.geometry.planes_per_chip =
-            static_cast<std::uint32_t>(std::stoul(value));
+        config.ftl_config.geometry.planes_per_chip = parse_u32(value);
       } else if (key == "spares") {
         config.ftl_config.bad_blocks.spare_blocks_per_unit =
             static_cast<std::uint32_t>(std::stoul(value));
@@ -496,6 +509,7 @@ std::optional<FaultSimConfig> parse_reproducer(const std::string& line) {
       return std::nullopt;
     }
   }
+  if (!config.ftl_config.geometry.valid()) return std::nullopt;
   return config;
 }
 

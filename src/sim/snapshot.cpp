@@ -1,6 +1,6 @@
 #include "src/sim/snapshot.hpp"
 
-#include <cstdio>
+#include <cassert>
 
 #include "src/core/flex_tlc_ftl.hpp"
 #include "src/ftl/ftl_base.hpp"
@@ -50,11 +50,35 @@ bool geometry_matches(ser::Reader& r, const nand::TlcGeometry& g) {
          r.u32() == g.page_size_bytes;
 }
 
-void append_payload(ser::Writer& header, ser::Writer&& payload) {
-  const std::vector<std::uint8_t> body = payload.take();
-  header.u64(body.size());
-  header.bytes(body.data(), body.size());
-  header.u64(ser::fnv1a(body));
+/// The framed stream up to and including the payload, with a zero
+/// placeholder for the payload size. Returns the placeholder's offset.
+template <typename Ftl>
+std::size_t write_framed(ser::Writer& w, std::uint8_t family, const Ftl& ftl) {
+  write_header(w, family, ftl.name());
+  write_geometry(w, ftl.device().geometry());
+  const std::size_t size_at = w.size();
+  w.u64(0);
+  ftl.save_state(w);
+  return size_at;
+}
+
+/// The whole snapshot stream in one buffer allocated at its exact length:
+/// a measuring pass through the same save code sizes it, the real pass
+/// fills it, and the payload size and FNV-1a trailer are written in place.
+/// The trailer hash is the one pass over the payload that cannot go.
+template <typename Ftl>
+std::vector<std::uint8_t> capture_stream(std::uint8_t family, const Ftl& ftl) {
+  ser::Writer measure = ser::Writer::measuring();
+  write_framed(measure, family, ftl);
+  const std::size_t length = measure.size() + 8;
+  ser::Writer w(length);
+  const std::size_t size_at = write_framed(w, family, ftl);
+  const std::size_t payload_at = size_at + 8;
+  const std::size_t payload = w.size() - payload_at;
+  w.patch_u64(size_at, payload);
+  w.u64(ser::fnv1a(w.view().subspan(payload_at)));
+  assert(w.size() == length);
+  return w.take();
 }
 
 /// Parse + validate the header; on success returns a Reader positioned at
@@ -102,26 +126,14 @@ bool verify_stream(const std::vector<std::uint8_t>& bytes) {
 }  // namespace
 
 Snapshot Snapshot::capture(const ftl::FtlBase& ftl) {
-  ser::Writer w;
-  write_header(w, kFamilyMlc, ftl.name());
-  write_geometry(w, ftl.device().geometry());
-  ser::Writer payload;
-  ftl.save_state(payload);
-  append_payload(w, std::move(payload));
   Snapshot s;
-  s.bytes_ = w.take();
+  s.bytes_ = capture_stream(kFamilyMlc, ftl);
   return s;
 }
 
 Snapshot Snapshot::capture(const core::FlexTlcFtl& ftl) {
-  ser::Writer w;
-  write_header(w, kFamilyTlc, ftl.name());
-  write_geometry(w, ftl.device().geometry());
-  ser::Writer payload;
-  ftl.save_state(payload);
-  append_payload(w, std::move(payload));
   Snapshot s;
-  s.bytes_ = w.take();
+  s.bytes_ = capture_stream(kFamilyTlc, ftl);
   return s;
 }
 
@@ -166,27 +178,13 @@ Snapshot Snapshot::from_bytes(std::vector<std::uint8_t> bytes) {
 }
 
 bool Snapshot::save_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = bytes_.empty()
-                                  ? 0
-                                  : std::fwrite(bytes_.data(), 1, bytes_.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == bytes_.size();
-  return ok;
+  return ser::write_file(path, {bytes_});
 }
 
 std::optional<Snapshot> Snapshot::load_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return std::nullopt;
+  ser::FileReader in(path);
+  std::vector<std::uint8_t> bytes = in.take(in.remaining());
+  if (!in.ok()) return std::nullopt;
   Snapshot s = from_bytes(std::move(bytes));
   if (!s.valid()) return std::nullopt;
   return s;

@@ -276,6 +276,66 @@ TEST(FaultSim, MultiTenantSweepSurvivesAllPoliciesAndFtls) {
   }
 }
 
+// Reproducer lines carry a non-default geometry, so the sweep's replay
+// check re-runs every crash on the device it happened on. Without the
+// geometry flags the replay would build small_config()'s device, which
+// the sweep's shared warm start cannot be restored into.
+TEST(FaultSim, NonDefaultGeometryReplaysFromItsReproducer) {
+  FaultSimConfig config;
+  config.kind = sim::FtlKind::kFlex;
+  config.seed = 2;
+  nand::Geometry& g = config.ftl_config.geometry;
+  g.channels = 2;
+  g.chips_per_channel = 2;
+  g.blocks_per_chip = 64;
+  g.wordlines_per_block = 16;
+
+  const std::string line = reproducer(config);
+  EXPECT_NE(line.find(" --blocks=64"), std::string::npos) << line;
+  EXPECT_NE(line.find(" --wordlines=16"), std::string::npos) << line;
+  EXPECT_EQ(line.find("--channels"), std::string::npos) << line;  // 2 is the default
+  EXPECT_EQ(line.find("--chips"), std::string::npos) << line;
+  const std::optional<FaultSimConfig> parsed = parse_reproducer(line);
+  ASSERT_TRUE(parsed.has_value()) << line;
+  EXPECT_EQ(parsed->ftl_config.geometry, g);
+
+  for (const sim::Engine engine : {sim::Engine::kController, sim::Engine::kLegacySync}) {
+    config.engine = engine;
+    const SweepResult result = sweep(config, quick_sweep_options());
+    EXPECT_EQ(result.replay_mismatches, 0u) << cell_name(config);
+    EXPECT_GT(result.crashes_injected, 0u) << cell_name(config);
+    EXPECT_TRUE(result.ok()) << cell_name(config);
+  }
+}
+
+TEST(FaultSim, GeometryFlagsRoundTripAndAreValidated) {
+  FaultSimConfig config;
+  config.ftl_config.geometry.channels = 4;
+  config.ftl_config.geometry.chips_per_channel = 1;
+  const std::string line = reproducer(config);
+  EXPECT_NE(line.find(" --channels=4"), std::string::npos) << line;
+  EXPECT_NE(line.find(" --chips=1"), std::string::npos) << line;
+  const std::optional<FaultSimConfig> parsed = parse_reproducer(line);
+  ASSERT_TRUE(parsed.has_value()) << line;
+  EXPECT_EQ(parsed->ftl_config.geometry, config.ftl_config.geometry);
+
+  // The default device emits none of the geometry flags, so legacy
+  // reproducer lines stay byte-identical.
+  const std::string legacy = reproducer(FaultSimConfig{});
+  for (const char* flag : {"--channels", "--chips", "--blocks", "--wordlines"}) {
+    EXPECT_EQ(legacy.find(flag), std::string::npos) << legacy;
+  }
+
+  // Zero, a one-wordline block, u32 overflow and trailing garbage are
+  // rejected, not truncated or defaulted.
+  for (const char* bad : {"faultsim --channels=0", "faultsim --chips=0", "faultsim --blocks=0",
+                          "faultsim --wordlines=1", "faultsim --blocks=4294967296",
+                          "faultsim --channels=2x", "faultsim --wordlines=-8",
+                          "faultsim --planes=0"}) {
+    EXPECT_FALSE(parse_reproducer(bad).has_value()) << bad;
+  }
+}
+
 TEST(FaultSim, MultiTenantReproducerRoundTripsOnlyNonDefaultFlags) {
   FaultSimConfig config;
   config.tenants = 8;
