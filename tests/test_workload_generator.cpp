@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 namespace rps::workload {
 namespace {
 
@@ -62,12 +65,30 @@ TEST(Generator, ZipfLocalityConcentratesWrites) {
   EXPECT_GT(static_cast<double>(hot) / static_cast<double>(writes), 0.5);
 }
 
+// Table 1's intensiveness labels, as TraceStats::intensiveness() spells them.
+enum class Intensity : std::uint64_t { kModerate, kHigh, kVeryHigh };
+
+const char* label(Intensity i) {
+  switch (i) {
+    case Intensity::kModerate: return "Moderate";
+    case Intensity::kHigh: return "High";
+    case Intensity::kVeryHigh: return "Very high";
+  }
+  return "";
+}
+
+// gtest names each case after the raw bytes of its parameter. Padding bytes
+// or a pointer there would give each test run a different name, so every
+// byte is an initialised member and no field holds an address.
 struct PresetExpectation {
   Preset preset;
-  double read_fraction;
-  const char* intensiveness;
-  bool large_idles;
+  std::uint32_t reserved = 0;
+  double read_fraction = 0.0;
+  Intensity intensiveness = Intensity::kModerate;
+  bool large_idles = false;
+  std::array<std::uint8_t, 7> reserved_tail{};
 };
+static_assert(sizeof(PresetExpectation) == 32, "no implicit padding");
 
 class PresetCharacteristics : public ::testing::TestWithParam<PresetExpectation> {};
 
@@ -77,7 +98,7 @@ TEST_P(PresetCharacteristics, MatchesTable1) {
   const TraceStats s = t.stats(/*idle_threshold_us=*/20'000);
   EXPECT_NEAR(s.read_fraction(), expect.read_fraction, 0.02)
       << to_string(expect.preset);
-  EXPECT_STREQ(s.intensiveness().c_str(), expect.intensiveness)
+  EXPECT_STREQ(s.intensiveness().c_str(), label(expect.intensiveness))
       << to_string(expect.preset) << " iops=" << s.iops();
   if (expect.large_idles) {
     EXPECT_GT(s.idle_fraction, 0.3) << to_string(expect.preset);
@@ -91,11 +112,26 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Table 1: OLTP 7:3 very high, NTRX 3:7 very high, Webserver 4:1
         // moderate (large idles), Varmail 1:1 high, Fileserver 1:2 high.
-        PresetExpectation{Preset::kOltp, 0.7, "Very high", false},
-        PresetExpectation{Preset::kNtrx, 0.3, "Very high", false},
-        PresetExpectation{Preset::kWebserver, 0.8, "Moderate", true},
-        PresetExpectation{Preset::kVarmail, 0.5, "High", true},
-        PresetExpectation{Preset::kFileserver, 1.0 / 3.0, "High", true}),
+        PresetExpectation{.preset = Preset::kOltp,
+                          .read_fraction = 0.7,
+                          .intensiveness = Intensity::kVeryHigh,
+                          .large_idles = false},
+        PresetExpectation{.preset = Preset::kNtrx,
+                          .read_fraction = 0.3,
+                          .intensiveness = Intensity::kVeryHigh,
+                          .large_idles = false},
+        PresetExpectation{.preset = Preset::kWebserver,
+                          .read_fraction = 0.8,
+                          .intensiveness = Intensity::kModerate,
+                          .large_idles = true},
+        PresetExpectation{.preset = Preset::kVarmail,
+                          .read_fraction = 0.5,
+                          .intensiveness = Intensity::kHigh,
+                          .large_idles = true},
+        PresetExpectation{.preset = Preset::kFileserver,
+                          .read_fraction = 1.0 / 3.0,
+                          .intensiveness = Intensity::kHigh,
+                          .large_idles = true}),
     [](const auto& info) { return to_string(info.param.preset); });
 
 TEST(SequentialFill, CoversWholeSpanOnce) {
