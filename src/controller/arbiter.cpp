@@ -33,6 +33,7 @@ void QueueArbiter::set_eligible(std::uint32_t queue, bool eligible,
   assert(queue < queues_);
   if (eligible) {
     head_cost_[queue] = head_cost;
+    max_head_cost_ = std::max(max_head_cost_, head_cost);
     if (!active_.test(queue)) {
       // Materialize the lazy zeroing before the queue rejoins the walk:
       // from here on its deficit is live again and must not be re-zeroed
@@ -111,13 +112,10 @@ std::optional<std::uint32_t> QueueArbiter::admit_wrr() {
 std::optional<std::uint32_t> QueueArbiter::admit_wdrr() {
   // No eligible queue: the full scan returned before touching any state.
   if (!active_.any()) return std::nullopt;
-  std::uint32_t max_cost = 1;
-  active_.for_each([&](std::uint32_t q) {
-    max_cost = std::max(max_cost, std::max<std::uint32_t>(1, head_cost_[q]));
-  });
   // Every full round grants each eligible queue quantum x weight pages, so
-  // within max_cost / quantum + 1 rounds some head fits its deficit.
-  const std::uint64_t rounds = 2 + max_cost / config_.quantum_pages;
+  // within max_cost / quantum + 1 rounds some head fits its deficit. The
+  // largest cost ever reported bounds every current head without a scan.
+  const std::uint64_t rounds = 2 + max_head_cost_ / config_.quantum_pages;
   const std::uint64_t max_visits = rounds * active_.count() + 1;
   for (std::uint64_t visits = 0; visits < max_visits;) {
     const std::uint32_t q = cur();

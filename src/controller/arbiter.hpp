@@ -146,6 +146,7 @@ class QueueArbiter {
   std::vector<std::uint32_t> weights_;  // resolved per-queue (>= 1)
   util::IndexBitSet active_;            // queues with an admissible head
   std::vector<std::uint32_t> head_cost_;
+  std::uint32_t max_head_cost_ = 1;     // largest head cost ever reported
   /// Absolute pointer position: cur() == pos_ % N is the queue the
   /// pointer rests on. Monotone — the lazy-zeroing stamps compare
   /// against it, so it never wraps back.

@@ -16,7 +16,6 @@ constexpr std::size_t kInitialSlots = 64;
 Controller::Controller(ftl::FtlBase& ftl, ControllerConfig config)
     : ftl_(ftl),
       config_(config),
-      units_(ftl.device().geometry().num_units()),
       planes_(ftl.device().geometry().planes_per_chip),
       slot_state_(kInitialSlots, SlotState::kEmpty),
       slot_remaining_(kInitialSlots, 0),
@@ -215,33 +214,15 @@ bool Controller::dispatch_write(const QueuedOp& qop, Microseconds t,
                                 Microseconds& blocked_until) {
   const std::size_t si = slot_of(qop.cmd);
   const HostCommand& cmd = slot_cmd_[si];
-  const std::uint32_t units = units_;
-  const std::uint32_t planes = planes_;
   std::uint32_t chip = 0;
   if (config_.stripe_writes) {
-    eligible_.assign(units, 0);
-    bool any_idle = false;
-    Microseconds next_free = kTimeNever;
-    for (std::uint32_t c = 0; c < units; ++c) {
-      const Microseconds busy = ftl_.device().chip(c).busy_until();
-      if (busy <= t) {
-        eligible_[c] = 1;
-        any_idle = true;
-      } else {
-        next_free = std::min(next_free, busy);
-      }
-    }
-    if (!any_idle) {
-      blocked_until = next_free;
-      return false;
-    }
     // Plane affinity: a later member of a plane group prefers an idle
     // sibling plane of the die its group already landed on, so the
     // group's programs overlap in one aligned cell window. When no
     // sibling is idle the op spills to the global idle set (throughput
     // beats pairing). Inert with one plane per die.
     const std::uint32_t group = op_plane_group(cmd, qop.index);
-    std::int64_t anchor_die = -1;
+    std::uint32_t anchor_die = ftl::FtlBase::kAnyDie;
     if (group != kNoPlaneGroup) {
       for (const auto& [g, die] : slot_group_die_[si]) {
         if (g == group) {
@@ -249,24 +230,13 @@ bool Controller::dispatch_write(const QueuedOp& qop, Microseconds t,
           break;
         }
       }
-      if (anchor_die >= 0) {
-        bool sibling_idle = false;
-        for (std::uint32_t p = 0; p < planes; ++p) {
-          if (eligible_[static_cast<std::uint32_t>(anchor_die) * planes + p] != 0) {
-            sibling_idle = true;
-            break;
-          }
-        }
-        if (sibling_idle) {
-          for (std::uint32_t u = 0; u < units; ++u) {
-            if (u / planes != static_cast<std::uint32_t>(anchor_die)) eligible_[u] = 0;
-          }
-        }
-      }
     }
-    chip = ftl_.pick_chip_among(eligible_);
-    if (group != kNoPlaneGroup && anchor_die < 0) {
-      slot_group_die_[si].emplace_back(group, chip / planes);
+    const std::optional<std::uint32_t> pick =
+        ftl_.pick_idle_unit(t, anchor_die, blocked_until);
+    if (!pick) return false;  // no idle unit: blocked_until is the next free
+    chip = *pick;
+    if (group != kNoPlaneGroup && anchor_die == ftl::FtlBase::kAnyDie) {
+      slot_group_die_[si].emplace_back(group, chip / planes_);
     }
   } else {
     chip = ftl_.pick_unconstrained_chip();

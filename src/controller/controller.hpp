@@ -5,11 +5,11 @@
 // Write ops wait in one FIFO and are *bound to a chip at dispatch time*:
 // when the event loop reaches a time t, every chip whose timeline is free
 // at t is eligible, and the allocator's capacity-aware round-robin
-// (FtlBase::pick_chip_among) picks among the eligible set. That is what
-// makes the pages of one request stripe across the array — the second
-// page never waits behind the first page's program, it lands on the next
-// idle chip. When no chip is idle the controller sleeps until the
-// earliest one frees up.
+// (FtlBase::pick_idle_unit) picks among the eligible set in one pass over
+// the units. That is what makes the pages of one request stripe across
+// the array — the second page never waits behind the first page's
+// program, it lands on the next idle chip. When no chip is idle the
+// controller sleeps until the earliest one frees up.
 //
 // Read ops are bound to the chip their mapping points at and queue
 // per-chip FIFO; the device model serializes same-chip service anyway, so
@@ -260,7 +260,6 @@ class Controller {
   ftl::FtlBase& ftl_;
   ControllerConfig config_;
   EventQueue events_;
-  std::uint32_t units_ = 0;   // geometry cache: flat chip units
   std::uint32_t planes_ = 0;  // geometry cache: planes per die
 
   // SoA slot ring (see slot_of). Parallel arrays keep the fields the
@@ -287,7 +286,6 @@ class Controller {
   std::vector<RingBuffer<QueuedOp>> read_queues_;  // per chip
   std::size_t queued_reads_ = 0;  // total across read_queues_
   std::vector<OpRecord> op_log_;
-  std::vector<std::uint8_t> eligible_;          // scratch: idle-chip mask
   std::uint64_t live_ops_ = 0;
   obs::TraceSink* trace_ = nullptr;      // borrowed; null = tracing off
   obs::StateSampler* sampler_ = nullptr; // borrowed; null = sampling off

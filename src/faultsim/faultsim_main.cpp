@@ -32,7 +32,8 @@
 //                         print its digest, and exit.
 //   --from-snapshot=PATH  fork every trial from a WarmStart saved by
 //                         --snapshot instead of re-running the fill. The
-//                         snapshot must match the config's --ftl.
+//                         snapshot must match the config's --ftl and
+//                         geometry flags; a mismatch exits 2.
 //   --cold                re-run the fill phase in every trial (disables
 //                         the internal warm start sweeps use by default);
 //                         the slow path kept for differential testing.
@@ -264,6 +265,11 @@ int main(int argc, char** argv) {
     if (!loaded) {
       std::fprintf(stderr, "failed to load snapshot: %s\n",
                    from_snapshot_path.c_str());
+      return 2;
+    }
+    const std::string mismatch = warm_start_mismatch(*config, *loaded);
+    if (!mismatch.empty()) {
+      std::fprintf(stderr, "%s: %s\n", from_snapshot_path.c_str(), mismatch.c_str());
       return 2;
     }
     std::printf("from-snapshot: %s ftl=%s digest=%016llx\n",

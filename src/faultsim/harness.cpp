@@ -191,6 +191,46 @@ WarmStart make_warm_start(const FaultSimConfig& config) {
   return warm;
 }
 
+namespace {
+
+std::string describe(const nand::Geometry& g) {
+  std::ostringstream os;
+  os << "channels=" << g.channels << " chips=" << g.chips_per_channel
+     << " planes=" << g.planes_per_chip << " blocks=" << g.blocks_per_chip
+     << " wordlines=" << g.wordlines_per_block << " page_bytes=" << g.page_size_bytes
+     << " spare_bytes=" << g.spare_bytes;
+  return os.str();
+}
+
+}  // namespace
+
+std::string warm_start_mismatch(const FaultSimConfig& config, const WarmStart& warm) {
+  const std::string want_ftl = sim::to_string(config.kind);
+  const std::string have_ftl = warm.ftl.ftl_name();
+  if (have_ftl != want_ftl) {
+    return "snapshot FTL " + (have_ftl.empty() ? std::string("(none)") : have_ftl) +
+           " does not match --ftl=" + want_ftl;
+  }
+  const nand::Geometry& want = config.ftl_config.geometry;
+  const std::optional<nand::Geometry> have = warm.ftl.geometry();
+  if (!have || *have != want) {
+    return "snapshot geometry " + (have ? describe(*have) : std::string("(unreadable)")) +
+           " does not match the flags' geometry " + describe(want);
+  }
+  // Name and geometry agree; what else the fill phase depends on (the
+  // bad-block settings, the oracle section) is checked by a trial fork.
+  std::unique_ptr<ftl::FtlBase> ftl = sim::make_ftl(config.kind, config.ftl_config);
+  if (!warm.ftl.restore(*ftl)) {
+    return "snapshot does not restore into a fresh " + want_ftl +
+           " of the flags' configuration";
+  }
+  ShadowOracle oracle;
+  ser::Reader r(warm.oracle);
+  oracle.load(r);
+  if (!r.ok() || !r.at_end()) return "snapshot's oracle section is malformed";
+  return {};
+}
+
 TrialResult run_trial(const FaultSimConfig& config, obs::TraceSink* sink,
                       const WarmStart* warm) {
   TrialResult out;

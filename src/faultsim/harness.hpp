@@ -129,6 +129,12 @@ struct WarmStart {
 /// Run the fill phase of `config` once and capture the fork point.
 WarmStart make_warm_start(const FaultSimConfig& config);
 
+/// Why `warm` cannot fork trials of `config` (faultsim --from-snapshot
+/// checks a loaded file with this): its FTL name or geometry differs from
+/// the config's, or its sections do not restore into a fresh FTL of the
+/// config. Empty when it fits.
+std::string warm_start_mismatch(const FaultSimConfig& config, const WarmStart& warm);
+
 /// Run one trial end to end: fill phase, seeded main phase, optional
 /// crash + reboot + oracle audit. With `sink` attached, the main phase
 /// (and crash / recovery) is traced: NandOp events per chip under the

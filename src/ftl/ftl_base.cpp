@@ -295,42 +295,63 @@ Result<nand::OpTiming> FtlBase::erase_block(const nand::BlockAddress& addr,
   return erased;
 }
 
-std::uint32_t FtlBase::pick_chip_impl(const std::vector<std::uint8_t>* eligible) {
-  // Place the write on the chip with the most headroom (physical pages not
-  // holding valid data), ties broken round-robin. Free-block counts alone
-  // are too coarse: a chip whose pages are ~100% valid still shows a few
-  // free blocks right after GC, keeps attracting writes, and eventually
-  // packs itself into an un-collectable state.
-  //
-  // The round-robin counter advances on every call, eligible set or not,
-  // so the controller's striped picks and the legacy picks walk the same
-  // sequence when the whole array is idle.
+std::uint32_t FtlBase::pick_chip() {
+  // pick_idle_unit's rule with every unit idle, minus the busy test: the
+  // untimed precondition path places every page through here.
   const std::uint32_t chips = device_.geometry().num_units();
   const std::uint64_t chip_pages = device_.geometry().pages_per_unit();
   const std::uint32_t start = rr_chip_++ % chips;
-  bool found = false;
   std::uint32_t best = start;
   std::uint64_t best_headroom = 0;
   std::uint32_t chip = start;
   for (std::uint32_t i = 0; i < chips; ++i) {
-    if (eligible == nullptr || (*eligible)[chip] != 0) {
-      const std::uint64_t headroom = chip_pages - blocks_.chip_valid_pages(chip);
-      if (!found || headroom > best_headroom) {
-        found = true;
-        best = chip;
-        best_headroom = headroom;
-      }
+    const std::uint64_t headroom = chip_pages - blocks_.chip_valid_pages(chip);
+    if (i == 0 || headroom > best_headroom) {
+      best = chip;
+      best_headroom = headroom;
     }
     if (++chip == chips) chip = 0;
   }
-  // Callers guarantee a nonempty eligible set; `start` is a safe fallback.
   return best;
 }
 
-std::uint32_t FtlBase::pick_chip() { return pick_chip_impl(nullptr); }
-
-std::uint32_t FtlBase::pick_chip_among(const std::vector<std::uint8_t>& eligible) {
-  return pick_chip_impl(&eligible);
+std::optional<std::uint32_t> FtlBase::pick_idle_unit(Microseconds t, std::uint32_t die,
+                                                     Microseconds& next_free) {
+  // Place the write on the unit with the most headroom (physical pages not
+  // holding valid data), ties broken round-robin. Free-block counts alone
+  // are too coarse: a unit whose pages are ~100% valid still shows a few
+  // free blocks right after GC, keeps attracting writes, and eventually
+  // packs itself into an un-collectable state. The best idle unit of
+  // `die` is tracked alongside the best overall, so the affinity
+  // restriction costs no second pass.
+  const std::uint32_t units = device_.geometry().num_units();
+  const std::uint32_t planes = device_.geometry().planes_per_chip;
+  const std::uint64_t unit_pages = device_.geometry().pages_per_unit();
+  // The units of `die` are [die_first, die_first + planes); none for kAnyDie.
+  const std::uint32_t die_first = die == kAnyDie ? units : die * planes;
+  std::optional<std::uint32_t> best, best_in_die;
+  std::uint64_t best_headroom = 0, die_headroom = 0;
+  next_free = kTimeNever;
+  std::uint32_t unit = rr_chip_ % units;
+  for (std::uint32_t i = 0; i < units; ++i) {
+    const Microseconds busy = device_.chip(unit).busy_until();
+    if (busy > t) {
+      next_free = std::min(next_free, busy);
+    } else {
+      const std::uint64_t headroom = unit_pages - blocks_.chip_valid_pages(unit);
+      if (!best || headroom > best_headroom) {
+        best = unit;
+        best_headroom = headroom;
+      }
+      if (unit - die_first < planes && (!best_in_die || headroom > die_headroom)) {
+        best_in_die = unit;
+        die_headroom = headroom;
+      }
+    }
+    if (++unit == units) unit = 0;
+  }
+  if (best) ++rr_chip_;
+  return best_in_die ? best_in_die : best;
 }
 
 void FtlBase::incremental_gc(Microseconds now) {

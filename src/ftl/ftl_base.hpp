@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string_view>
 
 #include "src/controller/allocator.hpp"
@@ -109,11 +110,18 @@ class FtlBase : public ctrl::Allocator {
   void on_idle_plan(Microseconds now, Microseconds deadline) override;
 
   /// Striping hook for the command controller: the legacy capacity-aware
-  /// round robin restricted to `eligible` chips (nonzero entries, indexed
-  /// by chip). With every chip eligible this is exactly pick_chip() —
-  /// which is what makes controller placement bit-identical to the legacy
-  /// path whenever the whole array is idle.
-  std::uint32_t pick_chip_among(const std::vector<std::uint8_t>& eligible);
+  /// round robin over the units idle at `t` (busy_until <= t), in one
+  /// pass from the round-robin start. With `die` != kAnyDie, an idle
+  /// unit of that die wins over every other idle unit (plane affinity);
+  /// with none idle there, the pick falls back to the whole idle set.
+  /// With every unit idle this is exactly pick_chip() — which is what
+  /// makes controller placement bit-identical to the legacy path
+  /// whenever the whole array is idle. The round-robin counter advances
+  /// only on a pick; with no unit idle the result is nullopt and
+  /// `next_free` holds the earliest busy_until.
+  static constexpr std::uint32_t kAnyDie = ~std::uint32_t{0};
+  std::optional<std::uint32_t> pick_idle_unit(Microseconds t, std::uint32_t die,
+                                              Microseconds& next_free);
 
   /// The unconstrained legacy chip pick (controller's no-striping mode).
   std::uint32_t pick_unconstrained_chip() { return pick_chip(); }
@@ -224,11 +232,12 @@ class FtlBase : public ctrl::Allocator {
   /// refresh full blocks whose read count since erase passed the threshold.
   void scrub_read_disturbed(Microseconds now, Microseconds deadline);
 
-  /// Chip selection for host-write striping: the chip with the most free
-  /// blocks, ties broken round-robin. Pure round-robin lets the valid-data
-  /// share of a chip random-walk into its physical capacity (GC cannot
-  /// reclaim a chip that is 100% valid); free-space-aware placement keeps
-  /// the chips balanced while still spreading consecutive writes.
+  /// Chip selection for host-write striping: the chip with the most
+  /// headroom, ties broken round-robin (pick_idle_unit's rule over an
+  /// all-idle array). Pure round-robin lets the valid-data share of a chip
+  /// random-walk into its physical capacity (GC cannot reclaim a chip
+  /// that is 100% valid); free-space-aware placement keeps the chips
+  /// balanced while still spreading consecutive writes.
   std::uint32_t pick_chip();
 
   /// Unique content signature for a simulated write.
@@ -259,9 +268,6 @@ class FtlBase : public ctrl::Allocator {
   Result<HostOp> host_program(std::uint32_t chip, Lpn lpn,
                               std::vector<std::uint8_t> bytes, Microseconds now,
                               double buffer_utilization, std::uint32_t stream);
-
-  /// Capacity-aware round robin over chips; `eligible` nullptr = all.
-  std::uint32_t pick_chip_impl(const std::vector<std::uint8_t>* eligible);
 
   /// collect_block minus the tracing wrapper.
   bool collect_block_impl(std::uint32_t chip, std::uint32_t victim, Microseconds now,

@@ -58,7 +58,13 @@ void MultiQueueFrontend::attach_tenant_sampler(std::uint32_t tenant,
                                                obs::StateSampler* sampler) {
   Queue& q = queues_.at(tenant);
   q.sampler = sampler;
-  if (sampler == nullptr) return;
+  const auto at = std::lower_bound(sampled_.begin(), sampled_.end(), tenant);
+  const bool listed = at != sampled_.end() && *at == tenant;
+  if (sampler == nullptr) {
+    if (listed) sampled_.erase(at);
+    return;
+  }
+  if (!listed) sampled_.insert(at, tenant);
   sampler->set_collector([this, tenant](obs::StateSample& sample) {
     const Queue& queue = queues_[tenant];
     const auto& reqs = queue.trace.requests();
@@ -116,12 +122,18 @@ double MultiQueueFrontend::buffer_utilization() const {
                            static_cast<double>(cap));
 }
 
-void MultiQueueFrontend::harvest(Microseconds /*t*/) {
-  for (const ctrl::CommandResult& res : controller_->take_all_results()) {
-    const auto it = pending_.find(res.id);
-    assert(it != pending_.end());
-    const Pending p = it->second;
-    pending_.erase(it);
+bool MultiQueueFrontend::harvest() {
+  controller_->take_all_results_into(results_scratch_);
+  for (const ctrl::CommandResult& res : results_scratch_) {
+    assert(res.id >= pending_base_ && res.id - pending_base_ < pending_.size());
+    Pending& entry = pending_[static_cast<std::size_t>(res.id - pending_base_)];
+    assert(entry.live);
+    entry.live = false;
+    const Pending p = entry;
+    while (!pending_.empty() && !pending_.front().live) {
+      pending_.pop_front();
+      ++pending_base_;
+    }
     Queue& q = queues_[p.tenant];
     if (res.aborted) {
       // Torn off by a power loss: never acknowledged, no completion will
@@ -146,6 +158,7 @@ void MultiQueueFrontend::harvest(Microseconds /*t*/) {
     completions_.push(
         Completion{done, p.tenant, p.pages, p.write ? p.pages : 0});
   }
+  return !results_scratch_.empty();
 }
 
 bool MultiQueueFrontend::budget_fits(std::uint32_t pages) const {
@@ -242,7 +255,9 @@ void MultiQueueFrontend::process_instant(Microseconds t) {
       if (write) in_flight_write_pages_ += r.page_count;
       cmd.buffer_utilization = buffer_utilization();
       const ctrl::CommandId id = controller_->submit(cmd);
-      pending_.emplace(id, Pending{*pick, r.arrival_us, r.page_count, write});
+      if (pending_.empty()) pending_base_ = id;
+      assert(id == pending_base_ + pending_.size());  // ids are dense
+      pending_.push_back(Pending{*pick, r.arrival_us, r.page_count, write, true});
       if (config_.keep_admission_log) {
         admission_log_.push_back(AdmissionRecord{*pick, q.next, r.arrival_us, t,
                                                  id, r.page_count, write});
@@ -269,16 +284,14 @@ void MultiQueueFrontend::process_instant(Microseconds t) {
       progress = true;
     }
     controller_->drain(t);
-    const std::size_t before = pending_.size();
-    harvest(t);
-    if (pending_.size() != before) progress = true;
+    if (harvest()) progress = true;
   }
   tick_samplers(t);
 }
 
 void MultiQueueFrontend::tick_samplers(Microseconds t) {
-  for (Queue& q : queues_) {
-    if (q.sampler == nullptr) continue;
+  for (const std::uint32_t i : sampled_) {
+    const Queue& q = queues_[i];
     q.sampler->set_utilization(
         q.config.in_flight_cap == 0
             ? 0.0
@@ -309,7 +322,7 @@ MultiQueueResult MultiQueueFrontend::run(Microseconds crash_time_us) {
       // controller-internal wake-ups (busy chips). Run the controller
       // forward to the next external decision point and harvest.
       controller_->drain(std::min(na, crash_time_us));
-      harvest(cur_time_);
+      harvest();
       nc = completions_.empty() ? kTimeNever : completions_.top().at;
       if (nc == kTimeNever && na == kTimeNever) break;  // crash-capped tail
     }
@@ -338,7 +351,7 @@ MultiQueueResult MultiQueueFrontend::run(Microseconds crash_time_us) {
 ctrl::PowerLossOutcome MultiQueueFrontend::power_loss(Microseconds t,
                                                       MultiQueueResult& result) {
   const ctrl::PowerLossOutcome outcome = controller_->power_loss(t);
-  harvest(t);  // aborted commands surface as finished results
+  harvest();  // aborted commands surface as finished results
   for (std::uint32_t i = 0; i < num_tenants(); ++i) result.tenants[i] = queues_[i].result;
   result.end_time_us = std::max(result.end_time_us, last_completion_);
   return outcome;

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "src/controller/arbiter.hpp"
@@ -35,6 +34,7 @@
 #include "src/obs/histogram.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/util/index_bitset.hpp"
+#include "src/util/ring_buffer.hpp"
 
 namespace rps::host {
 
@@ -113,7 +113,9 @@ class MultiQueueFrontend {
   /// installs a collector exposing that tenant's live queue state — u =
   /// in-flight / cap, sbqueue = in-flight commands, queued_write_ops =
   /// backlog (arrived, not yet admitted) — and ticks it at every event
-  /// instant of the replay.
+  /// instant of the replay, in ascending tenant order. Null detaches the
+  /// lane. An instant's sampler work is O(attached lanes): with none
+  /// attached it does none.
   void attach_tenant_sampler(std::uint32_t tenant, obs::StateSampler* sampler);
 
   /// Controller-level observability pass-through (trace sink + global
@@ -152,6 +154,7 @@ class MultiQueueFrontend {
     Microseconds arrival = 0;
     std::uint32_t pages = 0;
     bool write = false;
+    bool live = false;  // submitted, result not yet harvested
   };
   /// (completion time, tenant, pages, write pages) — min-heap on time;
   /// the tiebreak on tenant keeps pops deterministic.
@@ -190,7 +193,9 @@ class MultiQueueFrontend {
   void on_budget_grabbed();
   void on_budget_released();
   void process_instant(Microseconds t);
-  void harvest(Microseconds t);
+  /// Fold the controller's finished commands into their tenants; false
+  /// when none had finished.
+  bool harvest();
   void tick_samplers(Microseconds t);
 
   ftl::FtlBase& ftl_;
@@ -198,7 +203,16 @@ class MultiQueueFrontend {
   std::unique_ptr<ctrl::Controller> controller_;
   std::unique_ptr<ctrl::QueueArbiter> arbiter_;  // built lazily at run()
   std::vector<Queue> queues_;
-  std::unordered_map<ctrl::CommandId, Pending> pending_;
+  /// Ascending ids of the tenants with a sampler lane attached.
+  std::vector<std::uint32_t> sampled_;
+  /// In-flight commands by id: entry i is command pending_base_ + i. The
+  /// controller hands out dense ids, so the window spans the oldest
+  /// unharvested command to the newest one — bounded by the commands in
+  /// flight, not by the run. Harvested entries pop off the front, so the
+  /// front is always live and empty() means nothing is in flight.
+  RingBuffer<Pending> pending_;
+  ctrl::CommandId pending_base_ = 0;
+  std::vector<ctrl::CommandResult> results_scratch_;  // harvest's reused buffer
   std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions_;
   std::priority_queue<Arrival, std::vector<Arrival>, std::greater<>> arrivals_;
   std::vector<AdmissionRecord> admission_log_;

@@ -29,11 +29,20 @@ void write_geometry(ser::Writer& w, const nand::Geometry& g) {
   w.u32(g.spare_bytes);
 }
 
+nand::Geometry read_geometry(ser::Reader& r) {
+  nand::Geometry g;
+  g.channels = r.u32();
+  g.chips_per_channel = r.u32();
+  g.planes_per_chip = r.u32();
+  g.blocks_per_chip = r.u32();
+  g.wordlines_per_block = r.u32();
+  g.page_size_bytes = r.u32();
+  g.spare_bytes = r.u32();
+  return g;
+}
+
 bool geometry_matches(ser::Reader& r, const nand::Geometry& g) {
-  return r.u32() == g.channels && r.u32() == g.chips_per_channel &&
-         r.u32() == g.planes_per_chip && r.u32() == g.blocks_per_chip &&
-         r.u32() == g.wordlines_per_block && r.u32() == g.page_size_bytes &&
-         r.u32() == g.spare_bytes;
+  return read_geometry(r) == g;
 }
 
 void write_geometry(ser::Writer& w, const nand::TlcGeometry& g) {
@@ -166,6 +175,15 @@ std::string Snapshot::ftl_name() const {
   (void)r.u8();
   std::string name = r.str();
   return r.ok() ? name : std::string{};
+}
+
+std::optional<nand::Geometry> Snapshot::geometry() const {
+  ser::Reader r(bytes_);
+  if (r.u64() != kMagic || r.u32() != kVersion || r.u8() != kFamilyMlc) return std::nullopt;
+  (void)r.str();
+  const nand::Geometry g = read_geometry(r);
+  if (!r.ok()) return std::nullopt;
+  return g;
 }
 
 Snapshot Snapshot::from_bytes(std::vector<std::uint8_t> bytes) {

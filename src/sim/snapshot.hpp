@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/nand/geometry.hpp"
 #include "src/util/serialize.hpp"
 
 namespace rps::ftl {
@@ -75,6 +76,9 @@ class Snapshot {
   /// Header accessors (empty/zero when the header is malformed).
   [[nodiscard]] bool valid() const;
   [[nodiscard]] std::string ftl_name() const;
+  /// The geometry echo of an MLC-family snapshot (nullopt for TLC or a
+  /// malformed header).
+  [[nodiscard]] std::optional<nand::Geometry> geometry() const;
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   [[nodiscard]] bool empty() const { return bytes_.empty(); }

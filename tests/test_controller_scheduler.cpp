@@ -9,7 +9,9 @@
 //     test_nand_program_order.cpp exercises directly).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -129,6 +131,49 @@ TEST(Controller, ReadOfUnmappedPageRetiresInstantly) {
   EXPECT_EQ(r.read_errors, 0u);
   EXPECT_EQ(r.last_complete, 77) << "zero-fill read touches no device timeline";
   EXPECT_EQ(ftl->stats().unmapped_reads, 2u);
+}
+
+TEST(Controller, PickIdleUnitSkipsBusyUnitsAndPrefersTheAnchorDie) {
+  // Four dies of two planes: units 2d and 2d+1 belong to die d.
+  ftl::FtlConfig config = ftl::FtlConfig::tiny();
+  config.geometry.planes_per_chip = 2;
+  auto ftl = sim::make_ftl(sim::FtlKind::kPage, config);
+  const std::uint32_t units = ftl->device().geometry().num_units();
+  ASSERT_EQ(units, 8u);
+  constexpr std::uint32_t kAny = ftl::FtlBase::kAnyDie;
+  Microseconds next_free = 0;
+
+  // An idle, empty array: the round-robin start (unit 0) wins the headroom
+  // tie, unless an anchor die restricts the pick to its own planes.
+  EXPECT_EQ(ftl->pick_idle_unit(0, kAny, next_free), std::optional<std::uint32_t>(0));
+  EXPECT_EQ(next_free, kTimeNever);
+  EXPECT_EQ(ftl->pick_idle_unit(0, 2, next_free), std::optional<std::uint32_t>(4));
+
+  // A busy unit is never picked; with both planes of the anchor die busy
+  // the pick spills to the idle set.
+  ASSERT_TRUE(ftl->write_on(4, 0, 0).is_ok());
+  EXPECT_EQ(ftl->pick_idle_unit(0, 2, next_free), std::optional<std::uint32_t>(5));
+  ASSERT_TRUE(ftl->write_on(5, 1, 0).is_ok());
+  const std::optional<std::uint32_t> spill = ftl->pick_idle_unit(0, 2, next_free);
+  ASSERT_TRUE(spill.has_value());
+  EXPECT_NE(*spill / 2, 2u);
+  EXPECT_EQ(next_free, ftl->device().chip(4).busy_until());
+
+  // Every unit busy: no pick, the earliest free time, and the round-robin
+  // counter stays put (three picks so far).
+  auto fresh = sim::make_ftl(sim::FtlKind::kPage, config);
+  for (std::uint32_t u = 0; u < 3; ++u) ASSERT_TRUE(fresh->pick_idle_unit(0, kAny, next_free));
+  Microseconds earliest = kTimeNever;
+  Microseconds latest = 0;
+  for (std::uint32_t u = 0; u < units; ++u) {
+    ASSERT_TRUE(fresh->write_on(u, u, static_cast<Microseconds>(u) * 10).is_ok());
+    earliest = std::min(earliest, fresh->device().chip(u).busy_until());
+    latest = std::max(latest, fresh->device().chip(u).busy_until());
+  }
+  EXPECT_EQ(fresh->pick_idle_unit(0, kAny, next_free), std::nullopt);
+  EXPECT_EQ(next_free, earliest);
+  EXPECT_EQ(fresh->pick_idle_unit(0, 1, next_free), std::nullopt);
+  EXPECT_EQ(fresh->pick_idle_unit(latest, kAny, next_free), std::optional<std::uint32_t>(3));
 }
 
 struct InterleavingCase {

@@ -361,5 +361,40 @@ TEST(FaultSim, MultiTenantReproducerRoundTripsOnlyNonDefaultFlags) {
   EXPECT_FALSE(parse_reproducer("faultsim --tenants=0").has_value());
 }
 
+// faultsim --from-snapshot checks the loaded WarmStart with
+// warm_start_mismatch before any trial forks from it: a snapshot of
+// another FTL or another geometry used to reach run_trial and abort there.
+TEST(FaultSim, WarmStartOfAnotherFtlOrGeometryIsRejected) {
+  const FaultSimConfig flex;  // flexFTL on the default faultsim device
+  const WarmStart warm = make_warm_start(flex);
+  EXPECT_EQ(warm_start_mismatch(flex, warm), "");
+
+  FaultSimConfig page = flex;
+  page.kind = sim::FtlKind::kPage;
+  const std::string ftl_mismatch = warm_start_mismatch(page, warm);
+  EXPECT_NE(ftl_mismatch.find("snapshot FTL flexFTL"), std::string::npos) << ftl_mismatch;
+  EXPECT_NE(ftl_mismatch.find("--ftl=pageFTL"), std::string::npos) << ftl_mismatch;
+
+  FaultSimConfig other = flex;
+  other.ftl_config.geometry.blocks_per_chip = 64;
+  other.ftl_config.geometry.wordlines_per_block = 16;
+  const std::string geometry_mismatch = warm_start_mismatch(other, warm);
+  EXPECT_NE(geometry_mismatch.find("snapshot geometry"), std::string::npos)
+      << geometry_mismatch;
+  EXPECT_NE(geometry_mismatch.find("blocks=64 wordlines=16"), std::string::npos)
+      << geometry_mismatch;
+
+  // The other way round: a WarmStart of another geometry under the
+  // default flags, and each fits its own config.
+  const WarmStart other_warm = make_warm_start(other);
+  EXPECT_EQ(warm_start_mismatch(other, other_warm), "");
+  EXPECT_NE(warm_start_mismatch(flex, other_warm).find("snapshot geometry"),
+            std::string::npos);
+
+  // A WarmStart without a snapshot section names no FTL.
+  EXPECT_NE(warm_start_mismatch(flex, WarmStart{}).find("snapshot FTL (none)"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace rps::faultsim

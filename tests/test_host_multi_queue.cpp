@@ -15,12 +15,14 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/controller/arbiter.hpp"
 #include "src/host/multi_queue.hpp"
 #include "src/host/tenant.hpp"
+#include "src/obs/sampler.hpp"
 #include "src/sim/runner.hpp"
 #include "src/util/random.hpp"
 
@@ -577,6 +579,169 @@ TEST(MultiQueueFrontend, SharedPageBudgetAdmitsOversizedCommandsAlone) {
       }
     }
   }
+  EXPECT_TRUE(ftl->check_consistency());
+}
+
+// --- Per-tenant sampler lanes ----------------------------------------------
+
+/// A frontend over a fresh tiny pageFTL with `tenants` Poisson tenants
+/// (seeded), ready to run.
+struct SampledRun {
+  std::unique_ptr<ftl::FtlBase> ftl;
+  std::unique_ptr<MultiQueueFrontend> frontend;
+};
+
+SampledRun sampled_run(std::uint32_t tenants) {
+  SampledRun run;
+  run.ftl = sim::make_ftl(sim::FtlKind::kPage, ftl::FtlConfig::tiny());
+  MultiQueueConfig mq;
+  mq.arbiter.policy = ctrl::ArbPolicy::kWeightedDeficitRoundRobin;
+  mq.shared_page_budget = 6;
+  run.frontend = std::make_unique<MultiQueueFrontend>(*run.ftl, mq);
+  for (std::uint32_t i = 0; i < tenants; ++i) {
+    TenantConfig t;
+    t.id = i;
+    t.requests = 60;
+    t.mean_interarrival_us = 300;
+    t.read_fraction = 0.25;
+    t.size_dist = {{1, 0.6}, {4, 0.4}};
+    run.frontend->add_tenant(
+        t, tenant_trace(t, tenant_partition(i, tenants, run.ftl->exported_pages()), 11));
+  }
+  return run;
+}
+
+TEST(MultiQueueFrontend, TenantSamplersDoNotChangeTheResult) {
+  constexpr std::uint32_t kTenants = 6;
+  SampledRun bare = sampled_run(kTenants);
+  const std::uint64_t digest = bare.frontend->run().digest();
+
+  SampledRun one = sampled_run(kTenants);
+  obs::StateSampler lane(100);
+  one.frontend->attach_tenant_sampler(3, &lane);
+  EXPECT_EQ(one.frontend->run().digest(), digest);
+  EXPECT_FALSE(lane.samples().empty());
+
+  SampledRun all = sampled_run(kTenants);
+  std::vector<std::unique_ptr<obs::StateSampler>> lanes;
+  for (std::uint32_t i = 0; i < kTenants; ++i) {
+    lanes.push_back(std::make_unique<obs::StateSampler>(100));
+    all.frontend->attach_tenant_sampler(i, lanes.back().get());
+  }
+  EXPECT_EQ(all.frontend->run().digest(), digest);
+  for (std::uint32_t i = 0; i < kTenants; ++i) {
+    const std::vector<obs::StateSample>& samples = lanes[i]->samples();
+    ASSERT_FALSE(samples.empty()) << "tenant " << i;
+    for (const obs::StateSample& s : samples) {
+      EXPECT_LE(s.sbqueue, 8u) << "tenant " << i;  // in flight <= the default cap
+      EXPECT_LE(s.u, 1.0) << "tenant " << i;
+      EXPECT_GE(s.free_fraction, 0.0) << "tenant " << i;
+      EXPECT_LE(s.free_fraction, 1.0) << "tenant " << i;
+    }
+    // Progress through the trace never goes back.
+    for (std::size_t k = 1; k < samples.size(); ++k) {
+      EXPECT_GE(samples[k].free_fraction, samples[k - 1].free_fraction) << "tenant " << i;
+    }
+  }
+}
+
+TEST(MultiQueueFrontend, TenantSamplersTickOncePerInstantInTenantOrder) {
+  // Lanes attached out of order (and one twice) tick in ascending tenant
+  // order, once each per event instant; a lane detached with nullptr
+  // never ticks. A 1 us period turns every tick into a sample, and the
+  // replaced collector logs which lane ticked.
+  constexpr std::uint32_t kTenants = 8;
+  SampledRun run = sampled_run(kTenants);
+  std::vector<std::pair<Microseconds, std::uint32_t>> log;
+  std::vector<std::unique_ptr<obs::StateSampler>> lanes(kTenants);
+  for (const std::uint32_t i : {6u, 1u, 4u, 1u, 2u}) {
+    if (!lanes[i]) lanes[i] = std::make_unique<obs::StateSampler>(1);
+    run.frontend->attach_tenant_sampler(i, lanes[i].get());
+    lanes[i]->set_collector([&log, i](obs::StateSample& s) { log.emplace_back(s.ts, i); });
+  }
+  run.frontend->attach_tenant_sampler(4, nullptr);
+  run.frontend->attach_tenant_sampler(5, nullptr);  // never attached: a no-op
+  (void)run.frontend->run();
+
+  EXPECT_TRUE(lanes[4]->samples().empty());
+  const std::vector<std::uint32_t> order = {1, 2, 6};
+  ASSERT_FALSE(log.empty());
+  ASSERT_EQ(log.size() % order.size(), 0u);
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    EXPECT_EQ(log[k].second, order[k % order.size()]) << "tick " << k;
+    EXPECT_EQ(log[k].first, log[k - k % order.size()].first) << "tick " << k;
+    if (k >= order.size()) {
+      EXPECT_GT(log[k].first, log[k - order.size()].first) << "tick " << k;
+    }
+  }
+  for (const std::uint32_t i : order) {
+    EXPECT_EQ(lanes[i]->samples().size(), log.size() / order.size()) << "tenant " << i;
+  }
+}
+
+TEST(MultiQueueFrontend, LongCommandHarvestsCorrectlyWhileLaterOnesComplete) {
+  // Tenant 0 submits one 64-page write; tenant 1 then streams single-page
+  // reads of unmapped pages, which retire on the spot. Hundreds of later
+  // commands finish while the write is still in flight, so the pending
+  // window spans them all. Every command's latency must match the
+  // controller's op log.
+  auto ftl = sim::make_ftl(sim::FtlKind::kPage, ftl::FtlConfig::tiny());
+  MultiQueueConfig mq;
+  mq.keep_admission_log = true;
+  mq.keep_op_log = true;
+  MultiQueueFrontend frontend(*ftl, mq);
+  const Lpn half = ftl->exported_pages() / 2;
+  TenantConfig writer;
+  writer.id = 0;
+  frontend.add_tenant(writer, instant_burst(1, 64, 1, 0, half));
+  TenantConfig reader;
+  reader.id = 1;
+  reader.in_flight_cap = 100000;
+  workload::Trace reads("reads");
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    workload::IoRequest r;
+    r.arrival_us = 2 + static_cast<Microseconds>(i) * 5;
+    r.kind = workload::IoKind::kRead;
+    r.page_count = 1;
+    r.lpn = half + static_cast<Lpn>(i) % half;
+    reads.add(r);
+  }
+  frontend.add_tenant(reader, std::move(reads));
+  const MultiQueueResult result = frontend.run();
+
+  // The reference: each command completes with its last op.
+  std::map<ctrl::CommandId, Microseconds> done;
+  for (const ctrl::OpRecord& op : frontend.controller().op_log()) {
+    done[op.cmd] = std::max(done[op.cmd], op.complete);
+  }
+  std::vector<obs::LatencyHistogram> want(2);
+  std::vector<Microseconds> last(2, 0);
+  Microseconds write_done = 0;
+  for (const AdmissionRecord& rec : frontend.admission_log()) {
+    ASSERT_EQ(done.count(rec.id), 1u) << "command " << rec.id;
+    const Microseconds at = done[rec.id];
+    want[rec.tenant].add(static_cast<std::uint64_t>(std::max<Microseconds>(0, at - rec.arrival_us)));
+    last[rec.tenant] = std::max(last[rec.tenant], at);
+    if (rec.tenant == 0) write_done = at;
+  }
+  std::uint64_t overtaken = 0;
+  for (const AdmissionRecord& rec : frontend.admission_log()) {
+    if (rec.tenant == 1 && done[rec.id] < write_done) ++overtaken;
+  }
+  EXPECT_GT(overtaken, 500u) << "the write must stay in flight past many reads";
+
+  ASSERT_EQ(result.tenants.size(), 2u);
+  EXPECT_EQ(result.tenants[0].completed, 1u);
+  EXPECT_EQ(result.tenants[1].completed, 2000u);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    const TenantResult& t = result.tenants[i];
+    EXPECT_EQ(t.submitted, t.completed) << "tenant " << i;
+    EXPECT_EQ(t.failed + t.aborted, 0u) << "tenant " << i;
+    EXPECT_EQ(t.latency_us.to_json(), want[i].to_json()) << "tenant " << i;
+    EXPECT_EQ(t.last_complete_us, last[i]) << "tenant " << i;
+  }
+  EXPECT_EQ(result.tenants[0].write_latency_us.to_json(), want[0].to_json());
+  EXPECT_EQ(result.tenants[1].write_latency_us.count(), 0u);
   EXPECT_TRUE(ftl->check_consistency());
 }
 
