@@ -6,6 +6,8 @@
 // many chips) are all exercised.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "src/controller/controller.hpp"
@@ -144,10 +146,37 @@ TEST(Differential, ControllerMatchesLegacyPlacementsAtQd1) {
   }
 }
 
-struct SweepGeometry {
-  const char* name;
-  nand::Geometry geometry;
+enum class Shape : std::uint64_t {
+  kSingleChip,
+  kManySmallChips,
+  kTallBlocks,
+  kTwoWordlines,
+  kTwoPlanes,
+  kFourPlanes,
 };
+
+const char* name(Shape s) {
+  switch (s) {
+    case Shape::kSingleChip: return "SingleChip";
+    case Shape::kManySmallChips: return "ManySmallChips";
+    case Shape::kTallBlocks: return "TallBlocks";
+    case Shape::kTwoWordlines: return "TwoWordlines";
+    case Shape::kTwoPlanes: return "TwoPlanes";
+    case Shape::kFourPlanes: return "FourPlanes";
+  }
+  return "";
+}
+
+// gtest names each case after the raw bytes of its parameter. A pointer
+// there would tie the name to where the linker put a string literal, so any
+// change to the test binary would rename the case; padding would differ per
+// run. Every byte is therefore an initialised member holding no address.
+struct SweepGeometry {
+  Shape shape;
+  nand::Geometry geometry;
+  std::uint32_t reserved = 0;
+};
+static_assert(sizeof(SweepGeometry) == 40, "no implicit padding");
 
 class GeometrySweep : public ::testing::TestWithParam<SweepGeometry> {};
 
@@ -184,31 +213,31 @@ TEST_P(GeometrySweep, EveryFtlSurvivesAndStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GeometrySweep,
     ::testing::Values(
-        SweepGeometry{"SingleChip",
+        SweepGeometry{Shape::kSingleChip,
                       {.channels = 1, .chips_per_channel = 1, .blocks_per_chip = 24,
                        .wordlines_per_block = 8, .page_size_bytes = 512,
                        .spare_bytes = 16}},
-        SweepGeometry{"ManySmallChips",
+        SweepGeometry{Shape::kManySmallChips,
                       {.channels = 4, .chips_per_channel = 4, .blocks_per_chip = 8,
                        .wordlines_per_block = 4, .page_size_bytes = 512,
                        .spare_bytes = 16}},
-        SweepGeometry{"TallBlocks",
+        SweepGeometry{Shape::kTallBlocks,
                       {.channels = 1, .chips_per_channel = 2, .blocks_per_chip = 10,
                        .wordlines_per_block = 32, .page_size_bytes = 512,
                        .spare_bytes = 16}},
-        SweepGeometry{"TwoWordlines",
+        SweepGeometry{Shape::kTwoWordlines,
                       {.channels = 2, .chips_per_channel = 1, .blocks_per_chip = 24,
                        .wordlines_per_block = 2, .page_size_bytes = 512,
                        .spare_bytes = 16}},
-        SweepGeometry{"TwoPlanes",
+        SweepGeometry{Shape::kTwoPlanes,
                       {.channels = 2, .chips_per_channel = 1, .planes_per_chip = 2,
                        .blocks_per_chip = 12, .wordlines_per_block = 8,
                        .page_size_bytes = 512, .spare_bytes = 16}},
-        SweepGeometry{"FourPlanes",
+        SweepGeometry{Shape::kFourPlanes,
                       {.channels = 1, .chips_per_channel = 2, .planes_per_chip = 4,
                        .blocks_per_chip = 8, .wordlines_per_block = 4,
                        .page_size_bytes = 512, .spare_bytes = 16}}),
-    [](const auto& info) { return info.param.name; });
+    [](const auto& info) { return std::string(name(info.param.shape)); });
 
 }  // namespace
 }  // namespace rps
