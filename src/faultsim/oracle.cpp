@@ -27,7 +27,7 @@ void ShadowOracle::observe(Lpn lpn, const nand::PageAddress& addr) {
   // The page was just programmed, so peeking at its stored record is the
   // ground truth of what the device holds for this commit (zero-copy: the
   // record is inspected in place, never duplicated).
-  const nand::PageData* stored =
+  const nand::PageRecord* stored =
       ftl_->device().block({addr.chip, addr.block}).peek(addr.pos);
   if (stored == nullptr) return;  // never expected for a fresh commit
   const std::uint64_t version = stored->version;

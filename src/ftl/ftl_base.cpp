@@ -440,9 +440,9 @@ void FtlBase::rebuild_mapping() {
         for (const nand::PageType type : {nand::PageType::kLsb, nand::PageType::kMsb}) {
           const nand::PagePos pos{wl, type};
           if (block.page_state(pos) != nand::PageState::kValid) continue;
-          const nand::PageData* data = block.peek(pos);
+          const nand::PageRecord* data = block.peek(pos);
           assert(data != nullptr);
-          const nand::PageData& d = *data;
+          const nand::PageRecord& d = *data;
           if (d.spare & nand::kNonHostSpareFlag) continue;  // FTL metadata
           if (d.lpn >= mapping_.exported_pages()) continue; // parity / junk
           Newest& slot = newest[d.lpn];

@@ -1,10 +1,15 @@
 // One MLC NAND block: word-line program state, stored page contents, wear.
 //
 // The block enforces the active program-sequence policy on every program;
-// an FTL physically cannot violate the device's constraint set. Page
-// contents are stored as a compact record (logical page number + a 64-bit
-// payload signature + optional raw bytes) so large simulations stay small
-// in memory while recovery tests can still verify real data.
+// an FTL physically cannot violate the device's constraint set.
+//
+// Page store: each page is one 32-byte PageRecord (LPN, a 64-bit payload
+// signature standing in for the 4 KB of data, the OOB spare word and the
+// host-write version) in a per-block array, plus one PageState byte in a
+// parallel array. Raw payload bytes, which only tests, examples and the
+// block-device adapter write, live in a sparse per-block side table that
+// allocates only when a non-empty payload is programmed. PageData (record
+// plus payload) stays the program/read API type; read() reassembles it.
 #pragma once
 
 #include <cassert>
@@ -42,18 +47,32 @@ inline constexpr std::uint64_t kStreamSpareMask = 0xffffull;
   return static_cast<std::uint32_t>(spare & kStreamSpareMask);
 }
 
-/// What a program operation stores into a page.
+/// The fixed-size part of a stored page: everything the simulator reads.
 ///
 /// `spare` models the out-of-band area; FTLs use it for the reverse map
 /// (LPN) and flexFTL's parity backup stores the fast-block number there.
 /// `version` is the host-write sequence number, the tie-breaker mapping
 /// reconstruction uses when several physical copies of an LPN exist.
-struct PageData {
+struct PageRecord {
   Lpn lpn = kInvalidLpn;
   std::uint64_t signature = 0;          // stands in for the 4 KB payload
   std::uint64_t spare = 0;              // OOB metadata word
   std::uint64_t version = 0;            // host-write sequence number
+
+  friend bool operator==(const PageRecord&, const PageRecord&) = default;
+};
+static_assert(sizeof(PageRecord) == 32, "one stored page is one 32-byte record");
+
+/// What a program operation stores into a page, and what a read returns:
+/// the record's fields plus an optional raw payload (tests and examples).
+struct PageData {
+  Lpn lpn = kInvalidLpn;
+  std::uint64_t signature = 0;
+  std::uint64_t spare = 0;
+  std::uint64_t version = 0;
   std::vector<std::uint8_t> bytes;      // optional raw payload (tests/examples)
+
+  [[nodiscard]] PageRecord record() const { return {lpn, signature, spare, version}; }
 
   /// XOR combine, the primitive behind every parity-backup scheme here.
   void xor_with(const PageData& other);
@@ -111,11 +130,16 @@ class Block {
   [[nodiscard]] Result<PageData> read(PagePos pos) const {
     if (pos.wordline >= wordlines()) return ErrorCode::kOutOfRange;
     ++reads_since_erase_;
-    const PageSlot& s = slot(pos);
-    switch (s.state) {
+    const std::uint32_t i = pos.flat_index();
+    switch (states_[i]) {
       case PageState::kErased: return ErrorCode::kNotProgrammed;
       case PageState::kCorrupted: return ErrorCode::kEccUncorrectable;
-      case PageState::kValid: return s.data;
+      case PageState::kValid: {
+        const PageRecord& r = records_[i];
+        PageData d{r.lpn, r.signature, r.spare, r.version, {}};
+        if (const std::vector<std::uint8_t>* bytes = payload(i)) d.bytes = *bytes;
+        return d;
+      }
     }
     return ErrorCode::kInvalidArgument;
   }
@@ -126,15 +150,17 @@ class Block {
   /// the pointer is invalidated by the next program/erase/corrupt of this
   /// block. For hot paths (GC validity tests, mapping rebuild, oracle
   /// audits) that only inspect the record; read() copies the payload.
-  [[nodiscard]] const PageData* peek(PagePos pos) const {
+  [[nodiscard]] const PageRecord* peek(PagePos pos) const {
     if (pos.wordline >= wordlines()) return nullptr;
     ++reads_since_erase_;
-    const PageSlot& s = slot(pos);
-    return s.state == PageState::kValid ? &s.data : nullptr;
+    const std::uint32_t i = pos.flat_index();
+    return states_[i] == PageState::kValid ? &records_[i] : nullptr;
   }
 
   /// Raw page state (for FTL bookkeeping and tests).
-  [[nodiscard]] PageState page_state(PagePos pos) const { return slot(pos).state; }
+  [[nodiscard]] PageState page_state(PagePos pos) const {
+    return states_[pos.flat_index()];
+  }
   [[nodiscard]] WordlineState wordline_state(std::uint32_t wl) const {
     return program_state_.state(wl);
   }
@@ -183,32 +209,50 @@ class Block {
   [[nodiscard]] std::optional<PagePos> next_msb() const;
 
   /// Snapshot support: serialize / restore the full mutable state (page
-  /// slots, program state, wear, read-disturb exposure, SLC mode). The
-  /// target block must have the same shape (wordlines, sequence kind).
+  /// states and records, raw payloads, program state, wear, read-disturb
+  /// exposure, SLC mode). The target block must have the same shape
+  /// (wordlines, sequence kind). The stream encodes each valid page as a
+  /// full PageData (zero-length payload included), so it does not depend
+  /// on how the block stores its pages. load() rejects (Reader::fail) a
+  /// stream whose page states no program sequence can produce: an MSB
+  /// programmed over an erased LSB, or any MSB in an SLC-mode block.
   void save(ser::Writer& w) const;
   void load(ser::Reader& r);
 
  private:
-  struct PageSlot {
-    PageState state = PageState::kErased;
-    PageData data;
+  /// One non-empty raw payload, keyed by the page's flat index.
+  struct Payload {
+    std::uint32_t index;
+    std::vector<std::uint8_t> bytes;
   };
 
-  [[nodiscard]] const PageSlot& slot(PagePos pos) const { return slots_[pos.flat_index()]; }
-  [[nodiscard]] PageSlot& slot(PagePos pos) { return slots_[pos.flat_index()]; }
+  /// The raw payload stored with page `index`, or nullptr if it has none.
+  [[nodiscard]] const std::vector<std::uint8_t>* payload(std::uint32_t index) const {
+    if (payloads_.empty()) return nullptr;
+    const auto it = find_payload(index);
+    return it != payloads_.end() && it->index == index ? &it->bytes : nullptr;
+  }
+  [[nodiscard]] std::vector<Payload>::const_iterator find_payload(std::uint32_t index) const;
+  void store_payload(std::uint32_t index, std::vector<std::uint8_t>&& bytes);
 
   void store_programmed(PagePos pos, PageData&& data) {
     program_state_.mark_programmed(pos);
-    PageSlot& s = slot(pos);
-    s.state = PageState::kValid;
-    s.data = std::move(data);
+    const std::uint32_t i = pos.flat_index();
+    states_[i] = PageState::kValid;
+    records_[i] = data.record();
+    if (!data.bytes.empty()) store_payload(i, std::move(data.bytes));
     ++programmed_pages_;
     if (pos.type == PageType::kLsb) ++programmed_lsb_;
   }
 
   SequenceKind kind_;
   BlockProgramState program_state_;
-  std::vector<PageSlot> slots_;
+  // Indexed by PagePos::flat_index(). A record is meaningful only while its
+  // page is kValid; erase() and corrupt() change the state, not the record.
+  std::vector<PageState> states_;
+  std::vector<PageRecord> records_;
+  // Sorted by index; empty (no allocation) unless a payload was programmed.
+  std::vector<Payload> payloads_;
   std::uint64_t erase_count_ = 0;
   mutable std::uint64_t reads_since_erase_ = 0;
   std::uint32_t programmed_pages_ = 0;

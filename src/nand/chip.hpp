@@ -106,8 +106,7 @@ class Chip {
     settle_erases(now);
     materialize_erase(b);
     ++counters_.reads;
-    ReadOutcome outcome;
-    outcome.data = blocks_[b].read(pos);
+    ReadOutcome outcome{{}, blocks_[b].read(pos)};
     // Program suspension: jump the queue past an in-flight program. The
     // read runs immediately; the program (and the chip) is pushed back by
     // the read plus the suspend/resume overhead.

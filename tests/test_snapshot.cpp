@@ -13,7 +13,9 @@
 // up as a digest mismatch and must come with a version bump + new goldens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -234,6 +236,58 @@ TEST(SnapshotValidation, WrongGeometryIsRejected) {
   bigger.geometry.blocks_per_chip *= 2;
   std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kFlex, bigger);
   EXPECT_FALSE(snapshot.restore(*target));
+}
+
+/// Re-write the FNV-1a trailer of an MLC snapshot stream after an in-place
+/// edit of its payload, so the edit gets past from_bytes() to restore().
+void reseal(std::vector<std::uint8_t>& bytes) {
+  ser::Reader r(bytes);
+  (void)r.u64();  // magic
+  (void)r.u32();  // version
+  (void)r.u8();   // family
+  (void)r.str();  // FTL name
+  for (int i = 0; i < 7; ++i) (void)r.u32();  // geometry
+  const std::uint64_t size = r.u64();
+  ASSERT_TRUE(r.ok());
+  const std::uint64_t trailer = ser::fnv1a(bytes.data() + r.pos(), size);
+  std::memcpy(bytes.data() + r.pos() + size, &trailer, sizeof trailer);
+}
+
+// Block::load derives the word-line program state from the stream's page
+// states. Page states no program sequence can reach, an MSB over an erased
+// LSB or an MSB in an SLC-mode block, must make restore() fail, not abort.
+TEST(SnapshotValidation, ImpossiblePageStatesAreRejected) {
+  const ftl::FtlConfig config = ftl::FtlConfig::tiny();
+  std::unique_ptr<ftl::FtlBase> ftl = make_ftl(FtlKind::kPage, config);
+  const Snapshot snapshot = Snapshot::capture(*ftl);
+  // The stream of a never-written block: kind, erase count, reads since
+  // erase, SLC flag, page count, then one state byte per page.
+  const nand::Block erased(config.geometry.wordlines_per_block,
+                           ftl->device().block({0, 0}).sequence_kind());
+  ser::Writer w;
+  erased.save(w);
+  const std::vector<std::uint8_t> pattern = w.take();
+  constexpr std::size_t kSlcFlag = 1 + 8 + 8;
+  constexpr std::size_t kStates = kSlcFlag + 1 + 8;
+  constexpr auto kCorrupted = static_cast<std::uint8_t>(nand::PageState::kCorrupted);
+
+  for (const bool slc : {false, true}) {
+    SCOPED_TRACE(slc ? "MSB in an SLC-mode block" : "MSB over an erased LSB");
+    std::vector<std::uint8_t> bytes = snapshot.bytes();
+    const auto at = std::search(bytes.begin(), bytes.end(), pattern.begin(), pattern.end());
+    ASSERT_NE(at, bytes.end());
+    const std::size_t block_at = static_cast<std::size_t>(at - bytes.begin());
+    bytes[block_at + kStates + 1] = kCorrupted;  // MSB(0)
+    if (slc) {
+      bytes[block_at + kSlcFlag] = 1;
+      bytes[block_at + kStates] = kCorrupted;    // LSB(0)
+    }
+    reseal(bytes);
+    const Snapshot mutated = Snapshot::from_bytes(std::move(bytes));
+    ASSERT_FALSE(mutated.empty());
+    std::unique_ptr<ftl::FtlBase> target = make_ftl(FtlKind::kPage, config);
+    EXPECT_FALSE(mutated.restore(*target));
+  }
 }
 
 // Golden digests: capture digest of a fixed 5% precondition fill on the
